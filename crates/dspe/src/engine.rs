@@ -1768,6 +1768,8 @@ mod tests {
         let engine = MicroBatchEngine::new(cfg);
         let mut obs = EngineMetrics::new();
         let mut tracer = Tracer::new();
+        // Every task runs for at least 2 µs of wall time, so its span,
+        // stamped in whole microseconds, is never empty.
         let report = engine.run_stream_traced(
             0,
             0..1000i64,
@@ -1775,7 +1777,12 @@ mod tests {
             Some(&mut tracer),
             |ctx, batch| {
                 let data = ctx.parallelize(batch);
-                let _ = ctx.map(&data, |x| x + 1).unwrap();
+                let _ = ctx
+                    .map_partitions(&data, |_, part| {
+                        spin_for(Duration::from_micros(2));
+                        part.len()
+                    })
+                    .unwrap();
             },
         );
         assert_eq!(report.batches, 4);
@@ -1815,18 +1822,101 @@ mod tests {
             .filter(|s| s.kind == SpanKind::Task)
             .all(|s| s.worker != u32::MAX));
         // The wall-clock critical path analysis yields worker rows with
-        // busy time covered by wave wall time.
+        // busy time covered by wave wall time. A work-stealing pool does
+        // not promise every worker a task (one may drain the whole wave
+        // before another starts), so only what it does promise is checked:
+        // every task is attributed to exactly one worker, no worker is
+        // busy longer than it was live, and a worker that ran a task was
+        // busy.
         let analysis = redhanded_obs::analyze(&tracer);
         assert!(!analysis.workers.is_empty());
+        let attributed: u64 = analysis.workers.iter().map(|w| w.tasks).sum();
+        assert_eq!(attributed, total.tasks, "Σ per-worker task spans == tasks scheduled");
         for w in &analysis.workers {
-            assert!(w.busy_us > 0.0);
-            assert!(w.wall_us > 0.0);
+            assert!(w.busy_us <= w.wall_us, "worker {} busy beyond its wall time", w.worker);
+            if w.tasks > 0 {
+                assert!(w.busy_us > 0.0, "worker {} ran tasks but shows no busy time", w.worker);
+            }
         }
         let stage_row = analysis.stage(SpanKind::Stage).expect("stage row");
         assert!(stage_row.work_us > 0.0);
         assert!(stage_row.parallel_efficiency() > 0.0);
         // The flight recorder retained the task/wave stream.
         assert!(obs.flight().log().total() >= 16 + 4);
+    }
+
+    /// Busy-wait for `d` of wall time.
+    fn spin_for(d: Duration) {
+        let start = Instant::now();
+        while start.elapsed() < d {
+            std::hint::spin_loop();
+        }
+    }
+
+    #[test]
+    fn real_mode_attributes_tasks_to_every_live_worker() {
+        // Deterministic multi-worker attribution: each task waits until
+        // two distinct threads have started tasks, which only two live
+        // pool workers can satisfy. Worker 0 cannot drain the wave alone,
+        // so both workers are attributed tasks and busy time.
+        if available_threads() < 2 {
+            eprintln!("skipped: two-worker attribution needs 2 cores, this host has 1");
+            return;
+        }
+        let mut cfg = EngineConfig::for_topology(Topology::local(4));
+        cfg.microbatch_size = 400;
+        cfg.exec_mode = ExecMode::Real;
+        cfg.real_threads = 2;
+        let engine = MicroBatchEngine::new(cfg);
+        let mut obs = EngineMetrics::new();
+        let mut tracer = Tracer::new();
+        let live = std::sync::Mutex::new(Vec::<std::thread::ThreadId>::new());
+        let rendezvous = || {
+            let me = std::thread::current().id();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                let seen = match live.lock() {
+                    Ok(mut ids) => {
+                        if !ids.contains(&me) {
+                            ids.push(me);
+                        }
+                        ids.len()
+                    }
+                    Err(_) => return,
+                };
+                // The deadline turns a pool that never starts a second
+                // worker into an assertion failure below, not a hang.
+                if seen >= 2 || Instant::now() > deadline {
+                    return;
+                }
+                std::hint::spin_loop();
+            }
+        };
+        let report = engine.run_stream_traced(
+            0,
+            0..400i64,
+            Some(&mut obs),
+            Some(&mut tracer),
+            |ctx, batch| {
+                let data = ctx.parallelize(batch);
+                let _ = ctx
+                    .map_partitions(&data, |_, part| {
+                        rendezvous();
+                        spin_for(Duration::from_micros(2));
+                        part.len()
+                    })
+                    .unwrap();
+            },
+        );
+        assert_eq!(report.batches, 1);
+        assert_eq!(obs.pool().total().tasks, 4);
+        let analysis = redhanded_obs::analyze(&tracer);
+        assert_eq!(analysis.workers.len(), 2, "both workers are attributed");
+        for w in &analysis.workers {
+            assert!(w.tasks > 0, "worker {} ran no task", w.worker);
+            assert!(w.busy_us > 0.0, "worker {} shows no busy time", w.worker);
+            assert!(w.busy_us <= w.wall_us, "worker {} busy beyond its wall time", w.worker);
+        }
     }
 
     #[test]

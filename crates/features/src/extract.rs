@@ -15,17 +15,25 @@
 //! Extraction comes in two forms. [`FeatureExtractor::extract`] allocates
 //! its result per call — convenient for tests and one-off use.
 //! [`FeatureExtractor::extract_into`] writes into a caller-owned
-//! [`ExtractScratch`], whose token buffer, word arena, sentiment scratch,
-//! and feature vector are reused across calls: after warm-up a stream
-//! consumer extracts tweets without touching the allocator.
+//! [`ExtractScratch`], whose buffers are reused across calls: after
+//! warm-up a stream consumer extracts tweets without touching the
+//! allocator.
+//!
+//! The text is read once. [`TextScan::scan`] tokenizes the tweet in a
+//! single pass (collecting the shouting flags and the sentence count on
+//! the way), lowercases every word once into one arena, and probes the one
+//! lexicon table once per word. One pass over the resulting lexemes then
+//! feeds everything else from those entries: the counting features, the
+//! preprocessing filter, the POS tally and the word-length mean; the
+//! sentiment scorer reads the same lexemes. The only other hash probe per
+//! word is the adaptive BoW's interner lookup, whose vocabulary changes as
+//! the stream runs.
 
 use crate::adaptive_bow::AdaptiveBow;
 use crate::preprocess;
-use redhanded_nlp::intern::push_lowercase;
-use redhanded_nlp::sentence::count_word_sentences_spans;
-use redhanded_nlp::sentiment::{score_spans, SentimentScratch};
-use redhanded_nlp::tokenizer::{tokenize_into, TokenKind, TokenSpan};
-use redhanded_nlp::count_pos;
+use redhanded_nlp::lexicons;
+use redhanded_nlp::tokenizer::TokenKind;
+use redhanded_nlp::{tag_entry, PosTag, TextScan};
 use redhanded_types::{ClassScheme, FeatureSet, Instance, LabeledTweet, Tweet};
 
 /// Canonical feature names, in vector order.
@@ -78,22 +86,17 @@ pub struct Extraction {
 
 /// Reusable working memory for [`FeatureExtractor::extract_into`].
 ///
-/// Owns every buffer the per-tweet hot path needs: the token-span vector,
-/// the lowercased-word arena (one `String` holding all words back to back,
-/// addressed by byte ranges), the sentiment scorer's scratch, and the
-/// output feature vector. All buffers are cleared — never shrunk — between
-/// tweets, so after the first few tweets a steady-state consumer performs
-/// no allocations at all.
+/// Owns every buffer the per-tweet hot path needs: the text scan (token
+/// lexemes, the lowercase arena, the sentiment work buffers), the ranges of
+/// the surviving words in that arena, and the output feature vector. All
+/// buffers are cleared — never shrunk — between tweets, so after the first
+/// few tweets a steady-state consumer performs no allocations at all.
 #[derive(Debug, Default)]
 pub struct ExtractScratch {
-    /// Raw token spans of the current tweet.
-    tokens: Vec<TokenSpan>,
-    /// Byte ranges into `arena`, one per surviving lowercased word.
+    /// The current tweet, scanned.
+    scan: TextScan,
+    /// Arena ranges of the lowercased words that survived preprocessing.
     words: Vec<(u32, u32)>,
-    /// Concatenated lowercased word text.
-    arena: String,
-    /// Sentiment scorer working memory.
-    sentiment: SentimentScratch,
     /// The 17-dimensional output vector of the last extraction.
     features: Vec<f64>,
 }
@@ -114,7 +117,7 @@ impl ExtractScratch {
     /// order. The iterator borrows the scratch, so the BoW-observe step
     /// consumes it without materializing a `Vec<String>`.
     pub fn words(&self) -> impl Iterator<Item = &str> + Clone {
-        self.words.iter().map(|&(s, e)| &self.arena[s as usize..e as usize])
+        self.words.iter().map(|&r| self.scan.lower(r))
     }
 
     /// Number of words of the last `extract_into` call.
@@ -156,66 +159,74 @@ impl FeatureExtractor {
     /// produced values are bit-identical to [`FeatureExtractor::extract`].
     pub fn extract_into(&self, tweet: &Tweet, bow: &AdaptiveBow, scratch: &mut ExtractScratch) {
         let text = tweet.text.as_str();
-        tokenize_into(text, &mut scratch.tokens);
-
-        // Basic text features on the raw token stream.
-        let mut num_hashtags = 0usize;
-        let mut num_urls = 0usize;
-        let mut num_upper = 0usize;
-        for t in &scratch.tokens {
-            match t.kind {
-                TokenKind::Hashtag => num_hashtags += 1,
-                TokenKind::Url => num_urls += 1,
-                TokenKind::Word if t.is_shouting(text) => num_upper += 1,
-                _ => {}
-            }
-        }
+        let ExtractScratch { scan, words, features } = scratch;
+        scan.scan(text);
 
         // Sentiment on the raw token stream (punctuation and emoticons carry
         // signal; see the sentiment module docs).
-        let sentiment = score_spans(text, &scratch.tokens, &mut scratch.sentiment);
+        let sentiment = scan.sentiment();
 
-        // Word-level features on the cleaned (or raw) word sequence. With
-        // preprocessing disabled, everything that cleaning would have
-        // removed — URLs, mentions, hashtags, numbers, abbreviations like
-        // RT — stays in the word stream and pollutes the word-derived
-        // features, exactly the instability Figure 6 measures.
-        scratch.words.clear();
-        scratch.arena.clear();
-        for span in &scratch.tokens {
-            let keep = if self.config.preprocess {
-                preprocess::keep_span(text, span)
-            } else {
-                !matches!(span.kind, TokenKind::Punctuation | TokenKind::Emoticon)
-            };
-            if keep {
-                scratch.words.push(push_lowercase(&mut scratch.arena, span.text(text)));
+        // Counting features on the raw token stream; word-level features
+        // on the cleaned (or raw) word sequence. With preprocessing
+        // disabled, everything that cleaning would have removed — URLs,
+        // mentions, hashtags, numbers, abbreviations like RT — stays in the
+        // word stream and pollutes the word-derived features, exactly the
+        // instability Figure 6 measures.
+        let (mut num_hashtags, mut num_urls, mut num_upper) = (0usize, 0usize, 0usize);
+        let (mut adjectives, mut adverbs, mut verbs, mut chars) = (0usize, 0usize, 0usize, 0usize);
+        words.clear();
+        for i in 0..scan.lexemes().len() {
+            let lx = scan.lexemes()[i];
+            let kind = lx.span.kind;
+            match kind {
+                TokenKind::Hashtag => num_hashtags += 1,
+                TokenKind::Url => num_urls += 1,
+                TokenKind::Word if lx.shouting => num_upper += 1,
+                _ => {}
             }
+            let (lower, lex) = match kind {
+                TokenKind::Punctuation | TokenKind::Emoticon => continue,
+                TokenKind::Word => {
+                    if self.config.preprocess && !preprocess::keep_word(lx.span.text(text), lx.lex) {
+                        continue;
+                    }
+                    (lx.lower, lx.lex)
+                }
+                // URLs, mentions, hashtags and numbers are words only when
+                // preprocessing is off; the scan did not lowercase them.
+                _ if self.config.preprocess => continue,
+                _ => {
+                    let r = scan.push_lowercase(lx.span.text(text));
+                    (r, lexicons::lex(scan.lower(r)))
+                }
+            };
+            let w = scan.lower(lower);
+            match tag_entry(lex, w) {
+                PosTag::Adjective => adjectives += 1,
+                PosTag::Adverb => adverbs += 1,
+                PosTag::Verb => verbs += 1,
+                _ => {}
+            }
+            chars += if w.is_ascii() { w.len() } else { w.chars().count() };
+            words.push(lower);
         }
 
-        let pos = count_pos(scratch.words());
         // Only word-bearing segments count as sentences — trailing
         // hashtag/URL fragments would otherwise skew `wordsPerSentence`
         // class-dependently (see redhanded_nlp::count_word_sentences).
-        let num_sentences = count_word_sentences_spans(text, &scratch.tokens).max(1);
-        let num_words = scratch.words.len();
+        let num_sentences = scan.word_sentences().max(1);
+        let num_words = words.len();
         let words_per_sentence = num_words as f64 / num_sentences as f64;
-        let mean_word_length = if num_words == 0 {
-            0.0
-        } else {
-            scratch
-                .words()
-                .map(|w| if w.is_ascii() { w.len() } else { w.chars().count() })
-                .sum::<usize>() as f64
-                / num_words as f64
-        };
+        let mean_word_length =
+            if num_words == 0 { 0.0 } else { chars as f64 / num_words as f64 };
         // One interner probe per word covers both `cntSwearWords` (seed-id
         // prefix) and `bowScore` (membership) — see `swear_and_bow_counts`.
-        let (swears, bow_score) = bow.swear_and_bow_counts(scratch.words());
+        let (swears, bow_score) =
+            bow.swear_and_bow_counts(words.iter().map(|&r| scan.lower(r)));
 
         let user = &tweet.user;
-        scratch.features.clear();
-        scratch.features.extend([
+        features.clear();
+        features.extend([
             user.account_age_days,
             user.statuses_count as f64,
             user.listed_count as f64,
@@ -224,9 +235,9 @@ impl FeatureExtractor {
             num_hashtags as f64,
             num_upper as f64,
             num_urls as f64,
-            pos.adjectives as f64,
-            pos.adverbs as f64,
-            pos.verbs as f64,
+            adjectives as f64,
+            adverbs as f64,
+            verbs as f64,
             words_per_sentence,
             mean_word_length,
             sentiment.positive as f64,
@@ -234,7 +245,7 @@ impl FeatureExtractor {
             swears as f64,
             bow_score as f64,
         ]);
-        debug_assert_eq!(scratch.features.len(), NUM_FEATURES);
+        debug_assert_eq!(features.len(), NUM_FEATURES);
     }
 
     /// Extract the feature vector and word sequence for one tweet,

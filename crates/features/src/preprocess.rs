@@ -5,16 +5,10 @@
 //! content: known abbreviations (e.g. `RT`), hashtags, and user mentions.
 //! The output is the whitespace-joined sequence of surviving words.
 
-use redhanded_nlp::lexicons;
+use redhanded_nlp::lexicons::{self, Lex};
 use redhanded_nlp::tokenizer::{tokenize, Token, TokenKind, TokenSpan};
 
-/// Tweet-specific abbreviations removed during cleaning (compared
-/// case-insensitively).
-pub static TWEET_ABBREVIATIONS: &[&str] = &["rt", "mt", "ht", "cc", "dm", "prt", "via"];
-
-fn is_abbreviation(word: &str) -> bool {
-    TWEET_ABBREVIATIONS.iter().any(|a| word.eq_ignore_ascii_case(a))
-}
+pub use redhanded_nlp::lexicons::TWEET_ABBREVIATIONS;
 
 /// Predicate: does a raw token survive preprocessing?
 ///
@@ -26,17 +20,26 @@ pub fn keep_token(token: &Token<'_>) -> bool {
     keep(token.kind, token.text)
 }
 
-/// [`keep_token`] for offset-based spans against their source text — the
-/// form used by the scratch-based extraction path.
+/// [`keep_token`] for offset-based spans against their source text.
 pub fn keep_span(source: &str, span: &TokenSpan) -> bool {
     keep(span.kind, span.text(source))
 }
 
 fn keep(kind: TokenKind, text: &str) -> bool {
-    kind == TokenKind::Word
-        && !is_abbreviation(text)
-        && !lexicons::positive_emoticon_set().contains(text)
-        && !lexicons::negative_emoticon_set().contains(text)
+    kind == TokenKind::Word && keep_word(text, lexicons::lex(&text.to_lowercase()))
+}
+
+/// The filter for a word token, given the [`Lex`] entry of its lowercase
+/// form (the feature extractor has it from its one lexicon probe).
+///
+/// The entry's flags are keyed by the lowercase form; each is confirmed
+/// against the raw spelling the way the filter defines it: abbreviations
+/// match ASCII case-insensitively (so the raw word must be ASCII), and
+/// emoticons match exactly (so `xD` and `XD` go, `Xd` stays).
+pub fn keep_word(raw: &str, lex: Lex) -> bool {
+    let abbreviation = lex.is_abbreviation() && raw.is_ascii();
+    let emoticon = lex.is_emoticon_word() && lexicons::is_emoticon_spelling(raw);
+    !(abbreviation || emoticon)
 }
 
 /// Clean `text`, returning the surviving words joined by single spaces.

@@ -1,9 +1,13 @@
 //! Lexicon tables and fast lookup structures.
 //!
 //! The raw tables live in [`data`] (generated; see `DESIGN.md` for
-//! provenance). This module wraps them in hash-based lookup structures built
-//! lazily on first use, so repeated feature extraction pays only a hash
-//! probe per token.
+//! provenance). The per-token hot path reads them through one table,
+//! [`lex_map`]: every word any word-level table lists, keyed by its
+//! lowercase spelling, with everything the tables say about it packed into
+//! one [`Lex`] entry — so a word costs one hash probe, whatever the
+//! sentiment scorer, the POS tagger and the preprocessing filter need to
+//! know. The per-class sets and maps below remain for callers that ask
+//! about one class at a time.
 
 mod data;
 
@@ -14,7 +18,154 @@ pub use data::{
 };
 
 use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::pos::PosTag;
 use std::sync::OnceLock;
+
+/// Tweet-specific abbreviations removed during cleaning (compared
+/// case-insensitively).
+pub static TWEET_ABBREVIATIONS: &[&str] = &["rt", "mt", "ht", "cc", "dm", "prt", "via"];
+
+/// Everything the lexicons say about one lowercase word: one [`lex_map`]
+/// probe answers every per-word question of the hot path.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Lex {
+    /// Sentiment valence on the SentiStrength scale; `0` when the word is
+    /// not a sentiment term. Emoticon tokens carry their ±2 here too.
+    pub valence: i8,
+    /// Strength a booster adds to the following term; `0` when the word is
+    /// not a booster.
+    pub booster: i8,
+    /// The word's tag from the closed- and open-class lists, first list
+    /// wins in the tagger's lookup order; `None` when no list has it.
+    pub pos: Option<PosTag>,
+    flags: u8,
+}
+
+impl Lex {
+    const DIMINISHER: u8 = 1;
+    const NEGATOR: u8 = 1 << 1;
+    const ABBREVIATION: u8 = 1 << 2;
+    const EMOTICON_WORD: u8 = 1 << 3;
+
+    /// The entry an emoticon token carries: its valence, nothing else.
+    pub(crate) fn emoticon(valence: i8) -> Lex {
+        Lex { valence, ..Lex::default() }
+    }
+
+    /// A diminisher (weakens the following sentiment term by one).
+    pub fn is_diminisher(self) -> bool {
+        self.flags & Self::DIMINISHER != 0
+    }
+
+    /// A negator (inverts a sentiment term up to two tokens later).
+    pub fn is_negator(self) -> bool {
+        self.flags & Self::NEGATOR != 0
+    }
+
+    /// The lowercase form of a tweet abbreviation ([`TWEET_ABBREVIATIONS`]).
+    /// Abbreviations match ASCII case-insensitively only, so a raw spelling
+    /// counts when it is ASCII.
+    pub fn is_abbreviation(self) -> bool {
+        self.flags & Self::ABBREVIATION != 0
+    }
+
+    /// The lowercase form of a word-shaped emoticon (`xd` for `xd`, `xD`,
+    /// `XD`). Emoticons match case-sensitively, so a raw spelling counts
+    /// only when [`is_emoticon_spelling`] confirms it.
+    pub fn is_emoticon_word(self) -> bool {
+        self.flags & Self::EMOTICON_WORD != 0
+    }
+}
+
+/// The one per-word lexicon table: lowercase word → [`Lex`].
+///
+/// Built once from every word-level table in `data`, the abbreviations,
+/// and the emoticons a word token can spell. POS tags are inserted in the
+/// tagger's lookup order (pronoun, determiner, preposition, conjunction,
+/// interjection, adverb, adjective, verb) with first-wins semantics, so a
+/// word in two lists (e.g. "well") keeps its first tag.
+pub fn lex_map() -> &'static FxHashMap<&'static str, Lex> {
+    static MAP: OnceLock<FxHashMap<&'static str, Lex>> = OnceLock::new();
+    MAP.get_or_init(|| {
+        // Sized above the union (1,049 keys) so the build, which runs on
+        // the first tweet, never rehashes.
+        let listed = SENTIMENT_VALENCES.len() + ADJECTIVES.len() + VERBS.len() + ADVERBS.len();
+        let mut map: FxHashMap<&'static str, Lex> =
+            FxHashMap::with_capacity_and_hasher(listed + listed / 2, Default::default());
+        for &(w, v) in SENTIMENT_VALENCES {
+            map.entry(w).or_default().valence = v;
+        }
+        for &(w, inc) in BOOSTERS {
+            map.entry(w).or_default().booster = inc;
+        }
+        let flagged: [(&'static [&'static str], u8); 3] = [
+            (DIMINISHERS, Lex::DIMINISHER),
+            (NEGATORS, Lex::NEGATOR),
+            (TWEET_ABBREVIATIONS, Lex::ABBREVIATION),
+        ];
+        for (table, flag) in flagged {
+            for &w in table {
+                map.entry(w).or_default().flags |= flag;
+            }
+        }
+        let classes: [(&'static [&'static str], PosTag); 8] = [
+            (PRONOUNS, PosTag::Pronoun),
+            (DETERMINERS, PosTag::Determiner),
+            (PREPOSITIONS, PosTag::Preposition),
+            (CONJUNCTIONS, PosTag::Conjunction),
+            (INTERJECTIONS, PosTag::Interjection),
+            (ADVERBS, PosTag::Adverb),
+            (ADJECTIVES, PosTag::Adjective),
+            (VERBS, PosTag::Verb),
+        ];
+        for (table, tag) in classes {
+            for &w in table {
+                map.entry(w).or_default().pos.get_or_insert(tag);
+            }
+        }
+        // Only emoticons made of word characters can reach the filter as
+        // word tokens (`xD5` is the word `xD` then the number `5`); they
+        // are keyed by their lowercase form, the table's own spelling when
+        // it lists one.
+        let emoticons = || POSITIVE_EMOTICONS.iter().chain(NEGATIVE_EMOTICONS).copied();
+        for e in emoticons() {
+            if e.chars().all(|c| c.is_alphabetic() || matches!(c, '\'' | '’' | '-')) {
+                let lower = e.to_lowercase();
+                let key = emoticons()
+                    .find(|k| *k == lower)
+                    .unwrap_or_else(|| Box::leak(lower.into_boxed_str()));
+                map.entry(key).or_default().flags |= Lex::EMOTICON_WORD;
+            }
+        }
+        map
+    })
+}
+
+/// The [`Lex`] entry of an already-lowercased word (all-default when no
+/// table lists it).
+pub fn lex(word: &str) -> Lex {
+    lex_map().get(word).copied().unwrap_or_default()
+}
+
+/// True when `text` is exactly one of the ASCII emoticon spellings
+/// (case-sensitive, like the tokenizer's emoticon match).
+pub fn is_emoticon_spelling(text: &str) -> bool {
+    POSITIVE_EMOTICONS.contains(&text) || NEGATIVE_EMOTICONS.contains(&text)
+}
+
+/// Valence of an emoticon token: `2` for a positive emoticon or emoji,
+/// `-2` for a negative one, `0` otherwise. A trailing variation selector
+/// (U+FE0F) after an emoji is ignored.
+pub fn emoticon_valence(text: &str) -> i8 {
+    let bare = text.trim_end_matches('\u{FE0F}');
+    if POSITIVE_EMOTICONS.contains(&text) || POSITIVE_EMOJI.contains(&bare) {
+        2
+    } else if NEGATIVE_EMOTICONS.contains(&text) || NEGATIVE_EMOJI.contains(&bare) {
+        -2
+    } else {
+        0
+    }
+}
 
 fn set_of(words: &'static [&'static str]) -> FxHashSet<&'static str> {
     words.iter().copied().collect()
@@ -163,6 +314,64 @@ mod tests {
         }
         assert!(!is_emoji_char('a'));
         assert!(!is_emoji_char('!'));
+    }
+
+    #[test]
+    fn lex_map_agrees_with_every_class_table() {
+        let map = lex_map();
+        for (w, v) in SENTIMENT_VALENCES {
+            assert_eq!(lex(w).valence, *v, "{w}");
+        }
+        for (w, inc) in BOOSTERS {
+            assert_eq!(lex(w).booster, *inc, "{w}");
+        }
+        for w in DIMINISHERS {
+            assert!(lex(w).is_diminisher(), "{w}");
+        }
+        for w in NEGATORS {
+            assert!(lex(w).is_negator(), "{w}");
+        }
+        for w in TWEET_ABBREVIATIONS {
+            assert!(lex(w).is_abbreviation(), "{w}");
+        }
+        assert!(lex("xd").is_emoticon_word());
+        // First-wins POS, as the tagger's sequential set checks read them.
+        let classes = [
+            (pronoun_set(), PosTag::Pronoun),
+            (determiner_set(), PosTag::Determiner),
+            (preposition_set(), PosTag::Preposition),
+            (conjunction_set(), PosTag::Conjunction),
+            (interjection_set(), PosTag::Interjection),
+            (adverb_set(), PosTag::Adverb),
+            (adjective_set(), PosTag::Adjective),
+            (verb_set(), PosTag::Verb),
+        ];
+        for (&w, entry) in map {
+            let first = classes.iter().find(|(set, _)| set.contains(w)).map(|&(_, t)| t);
+            assert_eq!(entry.pos, first, "{w}");
+            assert_eq!(entry.valence != 0, sentiment_map().contains_key(w), "{w}");
+            assert_eq!(entry.booster != 0, booster_map().contains_key(w), "{w}");
+            assert_eq!(entry.is_diminisher(), diminisher_set().contains(w), "{w}");
+            assert_eq!(entry.is_negator(), negator_set().contains(w), "{w}");
+            assert_eq!(entry.is_abbreviation(), TWEET_ABBREVIATIONS.contains(&w), "{w}");
+            assert_ne!(*entry, Lex::default(), "{w} carries nothing");
+        }
+        assert_eq!(map.len(), 1049, "the union of the word-level tables");
+        assert_eq!(lex("zorgon"), Lex::default());
+    }
+
+    #[test]
+    fn emoticon_valence_matches_the_sets() {
+        for e in POSITIVE_EMOTICONS.iter().chain(POSITIVE_EMOJI) {
+            assert_eq!(emoticon_valence(e), 2, "{e}");
+        }
+        for e in NEGATIVE_EMOTICONS.iter().chain(NEGATIVE_EMOJI) {
+            assert_eq!(emoticon_valence(e), -2, "{e}");
+        }
+        assert_eq!(emoticon_valence("\u{2764}\u{FE0F}"), 2);
+        assert_eq!(emoticon_valence("\u{1F600}"), 2);
+        assert_eq!(emoticon_valence("\u{2600}"), 0);
+        assert!(is_emoticon_spelling("xD") && !is_emoticon_spelling("Xd"));
     }
 
     #[test]

@@ -19,12 +19,17 @@
 //! * [`fxhash`] — the fast non-cryptographic hasher backing every lexicon
 //!   table and id-keyed map on the per-token hot path.
 //!
-//! The tokenizer, sentiment scorer, and sentence counter each come in two
-//! forms: a convenience API that allocates per call ([`tokenize`],
-//! [`score_tokens`], [`count_word_sentences`]) and a scratch/span API
-//! ([`tokenize_into`], [`score_spans`], [`count_word_sentences_spans`])
-//! that reuses caller-owned buffers so a steady-state stream consumer
-//! performs no per-tweet allocations.
+//! * [`scan`] — the per-tweet pass the feature extractor runs: one
+//!   tokenizer scan, and for every word one lowercase copy into a shared
+//!   arena and one probe of the single lexicon table
+//!   ([`lexicons::lex_map`]).
+//!
+//! The tokenizer, sentiment scorer, POS tagger and sentence counter keep
+//! their standalone entry points ([`tokenize`], [`tokenize_into`],
+//! [`score_tokens`], [`score_spans`], [`count_pos`],
+//! [`count_word_sentences`]); each is a thin driver over the same scan,
+//! table and scoring code that [`TextScan`] runs, so the two cannot drift
+//! apart.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,13 +38,16 @@ pub mod fxhash;
 pub mod intern;
 pub mod lexicons;
 pub mod pos;
+pub mod scan;
 pub mod sentence;
 pub mod sentiment;
 pub mod tokenizer;
 
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use intern::{push_lowercase, WordId, WordInterner};
-pub use pos::{count_pos, tag_word, PosCounts, PosTag};
+pub use lexicons::Lex;
+pub use pos::{count_pos, tag_entry, tag_word, PosCounts, PosTag};
+pub use scan::{Lexeme, TextScan};
 pub use sentence::{
     count_word_sentences, count_word_sentences_spans, split_sentences, stylistic_stats,
     StylisticStats,

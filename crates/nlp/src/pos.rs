@@ -15,10 +15,12 @@
 //! 3. suffix heuristics (`-ly` → adverb; `-ing`/`-ed`/`-ize`/`-ify` → verb;
 //!    `-ous`/`-ful`/`-ive`/… → adjective),
 //! 4. default: noun.
+//!
+//! Steps 1–2 are a single probe of the shared lexicon table
+//! ([`crate::lexicons::lex_map`]), which keeps each word's first tag in
+//! this order.
 
-use crate::fxhash::FxHashMap;
-use crate::lexicons;
-use std::sync::OnceLock;
+use crate::lexicons::{self, Lex};
 
 /// Part-of-speech tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,37 +72,16 @@ pub fn tag_word(word: &str) -> PosTag {
     tag_lower(&word.to_lowercase())
 }
 
-/// Unified lexicon lookup: one probe instead of eight sequential set
-/// probes per word. Built by inserting the class tables in the documented
-/// lookup order with first-wins semantics, so ambiguous words (e.g.
-/// "well", both adverb and adjective) resolve exactly as the sequential
-/// checks did.
-fn lexicon_map() -> &'static FxHashMap<&'static str, PosTag> {
-    static MAP: OnceLock<FxHashMap<&'static str, PosTag>> = OnceLock::new();
-    MAP.get_or_init(|| {
-        let classes: [(&'static [&'static str], PosTag); 8] = [
-            (lexicons::PRONOUNS, PosTag::Pronoun),
-            (lexicons::DETERMINERS, PosTag::Determiner),
-            (lexicons::PREPOSITIONS, PosTag::Preposition),
-            (lexicons::CONJUNCTIONS, PosTag::Conjunction),
-            (lexicons::INTERJECTIONS, PosTag::Interjection),
-            (lexicons::ADVERBS, PosTag::Adverb),
-            (lexicons::ADJECTIVES, PosTag::Adjective),
-            (lexicons::VERBS, PosTag::Verb),
-        ];
-        let mut map = FxHashMap::default();
-        for (table, tag) in classes {
-            for &w in table {
-                map.entry(w).or_insert(tag);
-            }
-        }
-        map
-    })
-}
-
 /// Tag an already-lowercased word.
 fn tag_lower(w: &str) -> PosTag {
-    if let Some(&tag) = lexicon_map().get(w) {
+    tag_entry(lexicons::lex(w), w)
+}
+
+/// Tag an already-lowercased word `w` whose lexicon entry is `entry` (the
+/// per-token pass has it from its one probe): the listed tag if any, else
+/// the suffix heuristics.
+pub fn tag_entry(entry: Lex, w: &str) -> PosTag {
+    if let Some(tag) = entry.pos {
         return tag;
     }
     // Suffix heuristics, longest-context first. Require a minimal stem so

@@ -44,6 +44,11 @@ pub fn split_sentences(text: &str) -> Vec<&str> {
 /// class-dependent way (content-heavy classes append more of them). This
 /// counts only segments that contribute actual words, using the byte
 /// offsets of an existing tokenization pass.
+///
+/// Terminators count wherever they appear in the raw text, inside URLs and
+/// numbers too (`t.co`, `2.5`). The tokenizer's scan runs the same
+/// `SentenceCounter` as it reads a tweet, so the feature extractor gets
+/// this count without a second walk over the text.
 pub fn count_word_sentences(text: &str, tokens: &[Token<'_>]) -> usize {
     count_with_word_starts(
         text,
@@ -51,8 +56,7 @@ pub fn count_word_sentences(text: &str, tokens: &[Token<'_>]) -> usize {
     )
 }
 
-/// [`count_word_sentences`] over offset-based token spans — the
-/// allocation-free form used by the feature extractor's hot path.
+/// [`count_word_sentences`] over offset-based token spans.
 pub fn count_word_sentences_spans(text: &str, spans: &[TokenSpan]) -> usize {
     count_with_word_starts(
         text,
@@ -60,36 +64,63 @@ pub fn count_word_sentences_spans(text: &str, spans: &[TokenSpan]) -> usize {
     )
 }
 
-/// Single-scan core: walk the text once, consuming the ascending stream of
-/// word-token start offsets in lockstep, and count the segments between
-/// terminator runs that contain at least one word start. Word tokens never
-/// begin on a terminator character, so every start falls strictly inside a
-/// segment.
+/// Drive a [`SentenceCounter`] over the bytes of `text`, with the
+/// ascending word-token start offsets marking words. Word tokens never
+/// begin on a terminator, and terminators are ASCII, so the bytes of a
+/// multi-byte character are plain non-terminators.
 fn count_with_word_starts(text: &str, word_starts: impl IntoIterator<Item = usize>) -> usize {
     let mut starts = word_starts.into_iter().peekable();
-    let mut count = 0usize;
-    let mut in_terminator = false;
-    let mut has_word = false;
-    for (i, c) in text.char_indices() {
+    let mut counter = SentenceCounter::default();
+    for (i, &b) in text.as_bytes().iter().enumerate() {
         if starts.peek() == Some(&i) {
             starts.next();
-            has_word = true;
+            counter.word();
+        } else {
+            counter.byte(b);
         }
-        let is_term = matches!(c, '.' | '!' | '?' | '\n');
-        if is_term && !in_terminator {
-            if has_word {
-                count += 1;
+    }
+    counter.finish()
+}
+
+/// The word-bearing sentence count as a state machine over the characters
+/// of a text: segments between runs of terminators (`.` `!` `?` `\n`)
+/// count when at least one word starts in them.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SentenceCounter {
+    count: usize,
+    in_terminator: bool,
+    has_word: bool,
+}
+
+impl SentenceCounter {
+    /// A word token starts here.
+    pub(crate) fn word(&mut self) {
+        self.has_word = true;
+        self.in_terminator = false;
+    }
+
+    /// A character that does not end a sentence.
+    pub(crate) fn other(&mut self) {
+        self.in_terminator = false;
+    }
+
+    /// The byte of an ASCII character, or any byte of a multi-byte one.
+    pub(crate) fn byte(&mut self, b: u8) {
+        if matches!(b, b'.' | b'!' | b'?' | b'\n') {
+            if !self.in_terminator {
+                self.count += usize::from(self.has_word);
+                self.has_word = false;
+                self.in_terminator = true;
             }
-            has_word = false;
-            in_terminator = true;
-        } else if !is_term && in_terminator {
-            in_terminator = false;
+        } else {
+            self.in_terminator = false;
         }
     }
-    if !in_terminator && has_word {
-        count += 1;
+
+    /// The count, closing the open segment at the end of the text.
+    pub(crate) fn finish(&self) -> usize {
+        self.count + usize::from(!self.in_terminator && self.has_word)
     }
-    count
 }
 
 /// Summary statistics over the sentence/word structure of a text, computed

@@ -16,10 +16,14 @@
 //! * the text's **positive score** is the maximum positive term strength
 //!   (floor `1`), the **negative score** is the minimum negative term
 //!   strength (ceiling `-1`) — SentiStrength's dual output.
+//!
+//! The scorer reads [`Lexeme`]s, not text: the lexicon entry of every word
+//! (valence, booster increment, diminisher and negator flags) comes from
+//! the one probe [`TextScan`] made when it lowercased the word.
 
-use crate::intern::push_lowercase;
 use crate::lexicons;
-use crate::tokenizer::{is_shouting_text, Token, TokenKind, TokenSpan};
+use crate::scan::{Lexeme, TextScan};
+use crate::tokenizer::{Token, TokenKind, TokenSpan};
 
 /// Dual sentiment score of a text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +103,7 @@ fn has_triple_repeat(word: &str) -> bool {
 }
 
 /// True when `word` contains two identical adjacent characters — the
-/// precondition for either fallback spelling of [`lookup_valence_with`] to
+/// precondition for either fallback spelling of [`fallback_valence`] to
 /// differ from the raw one.
 fn has_adjacent_repeat(word: &str) -> bool {
     let mut prev: Option<char> = None;
@@ -112,24 +116,22 @@ fn has_adjacent_repeat(word: &str) -> bool {
     false
 }
 
-/// Valence of a lowercased word, trying the raw spelling, then the
-/// double-letter squeezed form, then the fully deduplicated form so
+/// Valence of a lowercased word that missed as spelled, trying the
+/// double-letter squeezed form, then the fully deduplicated form, so
 /// emphasized spellings ("looooove", "baaad") still hit the lexicon.
 /// `squeeze` and `dedup` are reusable work buffers (overwritten).
-fn lookup_valence_with(lower: &str, squeeze: &mut String, dedup: &mut String) -> Option<i8> {
-    let map = lexicons::sentiment_map();
-    if let Some(&v) = map.get(lower) {
-        return Some(v);
-    }
+fn fallback_valence(lower: &str, squeeze: &mut String, dedup: &mut String) -> Option<i8> {
     // Without a doubled character both fallback spellings equal `lower`,
     // which already missed.
     if !has_adjacent_repeat(lower) {
         return None;
     }
+    let valence = |w: &str| lexicons::lex(w).valence;
     squeeze.clear();
     squeeze_repeats_into(lower, squeeze);
     if squeeze.as_str() != lower {
-        if let Some(&v) = map.get(squeeze.as_str()) {
+        let v = valence(squeeze);
+        if v != 0 {
             return Some(v);
         }
     }
@@ -142,7 +144,8 @@ fn lookup_valence_with(lower: &str, squeeze: &mut String, dedup: &mut String) ->
         prev = Some(c);
     }
     if dedup.as_str() != lower {
-        if let Some(&v) = map.get(dedup.as_str()) {
+        let v = valence(dedup);
+        if v != 0 {
             return Some(v);
         }
     }
@@ -159,78 +162,28 @@ fn clamp_strength(v: i32) -> i8 {
     }
 }
 
-/// Reusable buffers for the sentiment scorer.
-///
-/// One scratch amortizes the per-tweet allocations of the scoring pass —
-/// the lowercased-word table and the squeezed-spelling work strings —
-/// across a whole stream. Only non-ASCII word tokens still allocate (the
-/// Unicode lowercasing fallback of [`push_lowercase`]).
-#[derive(Debug, Clone, Default)]
-pub struct SentimentScratch {
-    /// Per-token byte range of the lowercased form in `arena` (words only).
-    lowers: Vec<Option<(u32, u32)>>,
-    /// Lowercase arena backing `lowers`.
-    arena: String,
-    /// Work buffer for the double-letter squeezed spelling.
-    squeeze: String,
-    /// Work buffer for the fully deduplicated spelling.
-    dedup: String,
-}
+/// Reusable buffers for the sentiment scorer: the per-token lexemes, their
+/// lowercase arena, and the squeezed-spelling work strings.
+pub type SentimentScratch = TextScan;
 
-impl SentimentScratch {
-    /// An empty scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// The scoring algorithm, generic over how token texts are accessed:
-/// `tok(i)` returns the `i`-th token's text and kind. Both the borrowed
-/// [`Token`] slice and the offset-based [`TokenSpan`] slice provide it.
-fn score_core<'t>(
-    n: usize,
-    tok: &dyn Fn(usize) -> (&'t str, TokenKind),
-    scratch: &mut SentimentScratch,
+/// The scoring algorithm over scanned tokens. `arena` holds the lowercase
+/// forms the lexemes point into; `squeeze`/`dedup` are work buffers.
+pub(crate) fn score_core(
+    lexemes: &[Lexeme],
+    arena: &str,
+    squeeze: &mut String,
+    dedup: &mut String,
 ) -> SentimentScore {
-    let SentimentScratch { lowers, arena, squeeze, dedup } = scratch;
+    let lower_of = |lx: &Lexeme| &arena[lx.lower.0 as usize..lx.lower.1 as usize];
+    let is_word = |lx: &Lexeme| lx.span.kind == TokenKind::Word;
     let mut max_pos: i8 = 1;
     let mut min_neg: i8 = -1;
-
-    // Lowercased word texts for context lookups (boosters/negators).
-    lowers.clear();
-    arena.clear();
-    for i in 0..n {
-        let (text, kind) = tok(i);
-        lowers.push((kind == TokenKind::Word).then(|| push_lowercase(arena, text)));
-    }
-    fn lower_of<'a>(ranges: &[Option<(u32, u32)>], arena: &'a str, j: usize) -> Option<&'a str> {
-        ranges[j].map(|(s, e)| &arena[s as usize..e as usize])
-    }
-
-    for i in 0..n {
-        let (text, kind) = tok(i);
-        let base: i32 = match kind {
-            TokenKind::Emoticon => {
-                // ASCII emoticons and emoji both score ±2; a variation
-                // selector may trail an emoji token.
-                let bare = text.trim_end_matches('\u{FE0F}');
-                if lexicons::positive_emoticon_set().contains(text)
-                    || lexicons::positive_emoji_set().contains(bare)
-                {
-                    2
-                } else if lexicons::negative_emoticon_set().contains(text)
-                    || lexicons::negative_emoji_set().contains(bare)
-                {
-                    -2
-                } else {
-                    0
-                }
-            }
-            // Word tokens always have a lowercase range, but scoring 0 on a
-            // miss is the panic-free equivalent.
-            TokenKind::Word => lower_of(lowers, arena, i)
-                .and_then(|lower| lookup_valence_with(lower, squeeze, dedup))
-                .map_or(0, |v| v as i32),
+    for (i, lx) in lexemes.iter().enumerate() {
+        let base: i32 = match lx.span.kind {
+            // ASCII emoticons and emoji both score ±2.
+            TokenKind::Emoticon => lx.lex.valence as i32,
+            TokenKind::Word if lx.lex.valence != 0 => lx.lex.valence as i32,
+            TokenKind::Word => fallback_valence(lower_of(lx), squeeze, dedup).map_or(0, i32::from),
             _ => 0,
         };
         if base == 0 {
@@ -239,37 +192,31 @@ fn score_core<'t>(
         let mut strength = base;
         let sign = if base > 0 { 1 } else { -1 };
 
-        if kind == TokenKind::Word {
+        if is_word(lx) {
             // Booster / diminisher immediately before the term.
-            if i > 0 {
-                if let Some(prev) = lower_of(lowers, arena, i - 1) {
-                    if let Some(&inc) = lexicons::booster_map().get(prev) {
-                        strength += sign * inc as i32;
-                    } else if lexicons::diminisher_set().contains(prev) {
-                        strength -= sign;
-                    }
+            if let Some(prev) = i.checked_sub(1).map(|j| &lexemes[j]).filter(|p| is_word(p)) {
+                if prev.lex.booster != 0 {
+                    strength += sign * prev.lex.booster as i32;
+                } else if prev.lex.is_diminisher() {
+                    strength -= sign;
                 }
             }
-            // Negator within the two preceding word tokens inverts the term
-            // and reduces its magnitude by one.
-            let negated = (i.saturating_sub(2)..i).any(|j| {
-                lower_of(lowers, arena, j).is_some_and(|w| lexicons::negator_set().contains(w))
-            });
+            // Negator among the two preceding tokens inverts the term and
+            // reduces its magnitude by one.
+            let negated =
+                lexemes[i.saturating_sub(2)..i].iter().any(|p| is_word(p) && p.lex.is_negator());
             if negated {
                 strength = -sign * (strength.abs() - 1);
             }
             // Emphasis: repeated letters or all-caps spelling. Repeat runs
             // survive lowercasing, so the arena form is checked.
-            if lower_of(lowers, arena, i).is_some_and(has_triple_repeat) || is_shouting_text(text) {
+            if lx.shouting || has_triple_repeat(lower_of(lx)) {
                 strength += if strength > 0 { 1 } else { -1 };
             }
         }
         // A following exclamation mark strengthens the term.
-        if i + 1 < n {
-            let (next_text, next_kind) = tok(i + 1);
-            if next_kind == TokenKind::Punctuation && next_text == "!" {
-                strength += if strength > 0 { 1 } else { -1 };
-            }
+        if lexemes.get(i + 1).is_some_and(|next| next.bang) {
+            strength += if strength > 0 { 1 } else { -1 };
         }
 
         let s = clamp_strength(strength);
@@ -295,23 +242,29 @@ pub fn score_tokens(tokens: &[Token<'_>]) -> SentimentScore {
 
 /// [`score_tokens`] with caller-provided scratch buffers.
 pub fn score_tokens_with(tokens: &[Token<'_>], scratch: &mut SentimentScratch) -> SentimentScore {
-    score_core(tokens.len(), &|i| (tokens[i].text, tokens[i].kind), scratch)
+    scratch.refill(tokens.len(), |i| {
+        let t = &tokens[i];
+        (t.text, TokenSpan { start: t.start as u32, end: t.end() as u32, kind: t.kind })
+    });
+    scratch.sentiment()
 }
 
 /// Score offset-based token spans against their source `text` with
-/// caller-provided scratch buffers — the allocation-free form used by the
-/// feature extractor's hot path.
+/// caller-provided scratch buffers.
 pub fn score_spans(
     text: &str,
     spans: &[TokenSpan],
     scratch: &mut SentimentScratch,
 ) -> SentimentScore {
-    score_core(spans.len(), &|i| (spans[i].text(text), spans[i].kind), scratch)
+    scratch.refill(spans.len(), |i| (spans[i].text(text), spans[i]));
+    scratch.sentiment()
 }
 
 /// Tokenize and score `text` in one call.
 pub fn score_text(text: &str) -> SentimentScore {
-    score_tokens(&crate::tokenizer::tokenize(text))
+    let mut scan = TextScan::new();
+    scan.scan(text);
+    scan.sentiment()
 }
 
 #[cfg(test)]

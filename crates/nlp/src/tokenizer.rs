@@ -7,24 +7,85 @@
 //! as *typed* tokens here lets both the preprocessor and the basic text
 //! features (`numHashtags`, `numUrls`, `numUpperCases`) consume a single
 //! tokenization pass.
+//!
+//! The scan walks the text once. ASCII bytes are classified through a
+//! 256-entry table; a `char` is decoded only at a byte `>= 0x80`, and then
+//! the Unicode rules apply to it (`is_whitespace`, `is_alphabetic`,
+//! `is_alphanumeric`, the emoji blocks). On the way the scan also records
+//! what later passes would otherwise walk the text again for: whether a
+//! word is shouting, an emoticon's valence, and the sentence-terminator
+//! state behind `wordsPerSentence` (see [`crate::sentence`]).
 
 use crate::lexicons;
+use crate::sentence::SentenceCounter;
 use std::sync::OnceLock;
 
-/// Bitmap over the first byte of every known emoticon, so the tokenizer can
-/// rule out an emoticon match with one array load instead of scanning both
-/// emoticon tables at every token start (most tokens begin with a letter
-/// that no emoticon starts with).
-fn emoticon_first_bytes() -> &'static [bool; 256] {
-    static TABLE: OnceLock<[bool; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [false; 256];
-        for table in [lexicons::POSITIVE_EMOTICONS, lexicons::NEGATIVE_EMOTICONS] {
-            for emo in table {
-                t[emo.as_bytes()[0] as usize] = true;
+/// ASCII whitespace, as `char::is_whitespace` defines it.
+const WS: u8 = 1;
+/// ASCII letter.
+const ALPHA: u8 = 1 << 1;
+/// ASCII uppercase letter.
+const UPPER: u8 = 1 << 2;
+/// ASCII digit.
+const DIGIT: u8 = 1 << 3;
+/// Mention/hashtag body character: ASCII letter, digit or `_`.
+const IDENT: u8 = 1 << 4;
+/// First byte of some emoticon in the emoticon lexicons.
+const EMO: u8 = 1 << 5;
+
+/// The scan's lookup tables, built once from the emoticon lexicons.
+struct ScanTables {
+    /// Class bits of every byte value (`0` for bytes `>= 0x80`).
+    class: [u8; 256],
+    /// `emoticons[lo..hi]` start with byte `b`, for `(lo, hi) = by_first[b]`.
+    by_first: [(u16, u16); 256],
+    /// Every emoticon with its valence, grouped by first byte, longest
+    /// first within a group (so the first boundary-respecting match is the
+    /// longest one).
+    emoticons: Vec<(&'static str, i8)>,
+}
+
+fn scan_tables() -> &'static ScanTables {
+    static TABLES: OnceLock<ScanTables> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut class = [0u8; 256];
+        for b in 0..128u8 {
+            let mut c = 0;
+            if matches!(b, b'\t' | b'\n' | 0x0B | 0x0C | b'\r' | b' ') {
+                c |= WS;
             }
+            if b.is_ascii_alphabetic() {
+                c |= ALPHA | IDENT;
+            }
+            if b.is_ascii_uppercase() {
+                c |= UPPER;
+            }
+            if b.is_ascii_digit() {
+                c |= DIGIT | IDENT;
+            }
+            if b == b'_' {
+                c |= IDENT;
+            }
+            class[b as usize] = c;
         }
-        t
+        let mut emoticons: Vec<(&'static str, i8)> = lexicons::POSITIVE_EMOTICONS
+            .iter()
+            .map(|&e| (e, 2))
+            .chain(lexicons::NEGATIVE_EMOTICONS.iter().map(|&e| (e, -2)))
+            .collect();
+        // Stable: a spelling listed in both tables keeps the positive
+        // reading, as the scorer's positive-first check did.
+        emoticons.sort_by_key(|(e, _)| (e.as_bytes()[0], std::cmp::Reverse(e.len())));
+        let mut by_first = [(0u16, 0u16); 256];
+        for (i, (e, _)) in emoticons.iter().enumerate() {
+            let b = e.as_bytes()[0] as usize;
+            class[b] |= EMO;
+            if by_first[b].1 == 0 {
+                by_first[b].0 = i as u16;
+            }
+            by_first[b].1 = i as u16 + 1;
+        }
+        ScanTables { class, by_first, emoticons }
     })
 }
 
@@ -72,9 +133,17 @@ impl Token<'_> {
     }
 }
 
+/// See [`Token::is_shouting`]. The scan computes the same flag for word
+/// tokens as it reads them.
 pub(crate) fn is_shouting_text(text: &str) -> bool {
-    let alpha_count = text.chars().filter(|c| c.is_alphabetic()).count();
-    alpha_count >= 2 && text.chars().filter(|c| c.is_alphabetic()).all(|c| c.is_uppercase())
+    let mut letters = 0usize;
+    for c in text.chars().filter(|c| c.is_alphabetic()) {
+        if !c.is_uppercase() {
+            return false;
+        }
+        letters += 1;
+    }
+    letters >= 2
 }
 
 /// A token identified by byte offsets into its source text.
@@ -114,8 +183,9 @@ impl TokenSpan {
 /// shorter than 4 GiB so offsets fit in `u32` (any real tweet is).
 pub fn tokenize_into(text: &str, out: &mut Vec<TokenSpan>) {
     out.clear();
-    for t in Tokenizer::new(text) {
-        out.push(TokenSpan { start: t.start as u32, end: t.end() as u32, kind: t.kind });
+    let mut scanner = Tokenizer::new(text);
+    while let Some(t) = scanner.scan_token() {
+        out.push(t.span);
     }
 }
 
@@ -128,136 +198,277 @@ pub fn tokenize(text: &str) -> Vec<Token<'_>> {
     Tokenizer::new(text).collect()
 }
 
+/// One token of the scan: its span plus what the scan learned reading it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Scanned {
+    /// Where the token is and what kind it is.
+    pub(crate) span: TokenSpan,
+    /// Word tokens: at least two letters, every one uppercase.
+    pub(crate) shouting: bool,
+    /// Emoticon tokens: `±2` by the emoticon/emoji lexicons, else `0`.
+    pub(crate) valence: i8,
+}
+
 /// Iterator form of [`tokenize`], for callers that want to stop early.
 pub struct Tokenizer<'a> {
     text: &'a str,
     pos: usize,
+    tables: &'static ScanTables,
+    sentences: SentenceCounter,
 }
 
 impl<'a> Tokenizer<'a> {
     /// Create a tokenizer over `text`.
     pub fn new(text: &'a str) -> Self {
-        Tokenizer { text, pos: 0 }
+        Tokenizer { text, pos: 0, tables: scan_tables(), sentences: SentenceCounter::default() }
     }
 
-    fn rest(&self) -> &'a str {
-        &self.text[self.pos..]
+    /// Sentences with at least one word among the text scanned so far (the
+    /// whole text once the scan is exhausted); see
+    /// [`crate::sentence::count_word_sentences`].
+    pub(crate) fn word_sentences(&self) -> usize {
+        self.sentences.finish()
     }
 
-    fn skip_whitespace(&mut self) {
-        let rest = self.rest();
-        let trimmed = rest.trim_start();
-        self.pos += rest.len() - trimmed.len();
+    fn class(&self, b: u8) -> u8 {
+        self.tables.class[b as usize]
     }
 
-    /// Length in bytes of a URL starting at the current position, if any.
-    fn match_url(&self) -> Option<usize> {
-        let rest = self.rest();
-        let bytes = rest.as_bytes();
-        let has_prefix = |p: &[u8]| bytes.len() >= p.len() && bytes[..p.len()].eq_ignore_ascii_case(p);
-        let is_url = has_prefix(b"http://") || has_prefix(b"https://") || has_prefix(b"www.");
-        if !is_url {
-            return None;
+    /// The char starting at byte `i` (a char boundary inside the text).
+    fn char_at(&self, i: usize) -> char {
+        self.text[i..].chars().next().unwrap_or('\0')
+    }
+
+    /// Whether the char at byte `i` is alphabetic (`false` past the end).
+    fn alphabetic_at(&self, i: usize) -> bool {
+        match self.text.as_bytes().get(i) {
+            None => false,
+            Some(&b) if b < 0x80 => self.class(b) & ALPHA != 0,
+            Some(_) => self.char_at(i).is_alphabetic(),
         }
-        let end = rest.find(char::is_whitespace).unwrap_or(rest.len());
-        Some(end)
     }
 
-    /// Length of a mention/hashtag starting at the current position.
-    fn match_sigil(&self, sigil: char) -> Option<usize> {
-        let rest = self.rest();
-        let mut chars = rest.char_indices();
-        let (_, first) = chars.next()?;
-        if first != sigil {
-            return None;
-        }
-        let mut end = sigil.len_utf8();
-        for (i, c) in chars {
-            if c.is_alphanumeric() || c == '_' {
-                end = i + c.len_utf8();
+    /// Scan the next token, feeding every character on the way to the
+    /// sentence counter.
+    pub(crate) fn scan_token(&mut self) -> Option<Scanned> {
+        let bytes = self.text.as_bytes();
+        // Whitespace: `\n` is the one sentence terminator among it.
+        let start = loop {
+            let &b = bytes.get(self.pos)?;
+            if b < 0x80 {
+                if self.class(b) & WS == 0 {
+                    break self.pos;
+                }
+                self.sentences.byte(b);
+                self.pos += 1;
             } else {
-                break;
+                let c = self.char_at(self.pos);
+                if !c.is_whitespace() {
+                    break self.pos;
+                }
+                self.sentences.other();
+                self.pos += c.len_utf8();
+            }
+        };
+        let b0 = bytes[start];
+        let mut shouting = false;
+        let mut valence = 0;
+        let (end, kind) = if let Some(end) = self.match_url(start) {
+            (end, TokenKind::Url)
+        } else if let Some(end) = self.match_sigil(start, b'@') {
+            (end, TokenKind::Mention)
+        } else if let Some(end) = self.match_sigil(start, b'#') {
+            (end, TokenKind::Hashtag)
+        } else if let Some((end, v)) = self.match_emoticon(start) {
+            valence = v;
+            (end, TokenKind::Emoticon)
+        } else if let Some(end) = self.match_number(start) {
+            (end, TokenKind::Number)
+        } else if let Some((end, loud)) = self.match_word(start) {
+            shouting = loud;
+            (end, TokenKind::Word)
+        } else if b0 < 0x80 {
+            // A single punctuation mark or symbol.
+            self.sentences.byte(b0);
+            (start + 1, TokenKind::Punctuation)
+        } else {
+            // Emoji count as emoticons (they carry sentiment, not syntax),
+            // absorbing a trailing variation selector (U+FE0F); any other
+            // character is a symbol.
+            self.sentences.other();
+            let c = self.char_at(start);
+            let mut end = start + c.len_utf8();
+            if lexicons::is_emoji_char(c) {
+                if self.text[end..].starts_with('\u{FE0F}') {
+                    end += '\u{FE0F}'.len_utf8();
+                }
+                valence = lexicons::emoticon_valence(&self.text[start..end]);
+                (end, TokenKind::Emoticon)
+            } else {
+                (end, TokenKind::Punctuation)
+            }
+        };
+        self.pos = end;
+        Some(Scanned {
+            span: TokenSpan { start: start as u32, end: end as u32, kind },
+            shouting,
+            valence,
+        })
+    }
+
+    /// End of a URL (`http://`, `https://` or `www.`, any case) starting at
+    /// `s`: it runs to the next whitespace.
+    fn match_url(&mut self, s: usize) -> Option<usize> {
+        let rest = &self.text.as_bytes()[s..];
+        if !matches!(rest[0], b'h' | b'H' | b'w' | b'W') {
+            return None;
+        }
+        let has_prefix = |p: &[u8]| rest.len() >= p.len() && rest[..p.len()].eq_ignore_ascii_case(p);
+        if !(has_prefix(b"http://") || has_prefix(b"https://") || has_prefix(b"www.")) {
+            return None;
+        }
+        let mut i = s;
+        while let Some(&b) = self.text.as_bytes().get(i) {
+            if b < 0x80 {
+                if self.class(b) & WS != 0 {
+                    break;
+                }
+                // `t.co` and friends: terminators inside a URL still close
+                // a sentence.
+                self.sentences.byte(b);
+                i += 1;
+            } else {
+                let c = self.char_at(i);
+                if c.is_whitespace() {
+                    break;
+                }
+                self.sentences.other();
+                i += c.len_utf8();
+            }
+        }
+        Some(i)
+    }
+
+    /// End of a mention/hashtag starting at `s`: the sigil, then at least
+    /// one alphanumeric or `_` character.
+    fn match_sigil(&mut self, s: usize, sigil: u8) -> Option<usize> {
+        let bytes = self.text.as_bytes();
+        if bytes[s] != sigil {
+            return None;
+        }
+        let mut i = s + 1;
+        while let Some(&b) = bytes.get(i) {
+            if b < 0x80 {
+                if self.class(b) & IDENT == 0 {
+                    break;
+                }
+                i += 1;
+            } else {
+                let c = self.char_at(i);
+                if !c.is_alphanumeric() {
+                    break;
+                }
+                i += c.len_utf8();
             }
         }
         // A bare sigil with no body is punctuation, not a mention/hashtag.
-        (end > sigil.len_utf8()).then_some(end)
-    }
-
-    /// Length of an emoticon starting at the current position, if the
-    /// longest prefix match against the emoticon lexicons succeeds.
-    fn match_emoticon(&self) -> Option<usize> {
-        let rest = self.rest();
-        if !emoticon_first_bytes()[*rest.as_bytes().first()? as usize] {
+        if i == s + 1 {
             return None;
         }
-        let mut best = None;
-        for table in [lexicons::POSITIVE_EMOTICONS, lexicons::NEGATIVE_EMOTICONS] {
-            for emo in table {
-                if let Some(after) = rest.strip_prefix(emo) {
-                    // Require the emoticon to end at a boundary so `:pizza`
-                    // does not match `:p`.
-                    let boundary = after
-                        .chars()
-                        .next()
-                        .map_or(true, |c| c.is_whitespace() || !c.is_alphanumeric());
-                    if boundary && best.map_or(true, |b| emo.len() > b) {
-                        best = Some(emo.len());
-                    }
+        self.sentences.other();
+        Some(i)
+    }
+
+    /// End and valence of the longest emoticon starting at `s` that ends
+    /// at a boundary (so `:pizza` does not match `:p`).
+    fn match_emoticon(&mut self, s: usize) -> Option<(usize, i8)> {
+        let b0 = self.text.as_bytes()[s];
+        if self.class(b0) & EMO == 0 {
+            return None;
+        }
+        let (lo, hi) = self.tables.by_first[b0 as usize];
+        let rest = &self.text[s..];
+        let &(emo, valence) = self.tables.emoticons[lo as usize..hi as usize]
+            .iter()
+            .find(|(emo, _)| rest.starts_with(emo) && self.boundary_at(s + emo.len()))?;
+        for &b in emo.as_bytes() {
+            self.sentences.byte(b);
+        }
+        Some((s + emo.len(), valence))
+    }
+
+    /// Whether a token may end before byte `i`: end of text, whitespace,
+    /// or a non-alphanumeric character.
+    fn boundary_at(&self, i: usize) -> bool {
+        match self.text.as_bytes().get(i) {
+            None => true,
+            Some(&b) if b < 0x80 => self.class(b) & (ALPHA | DIGIT) == 0,
+            Some(_) => {
+                let c = self.char_at(i);
+                c.is_whitespace() || !c.is_alphanumeric()
+            }
+        }
+    }
+
+    /// End of a number starting at `s`: ASCII digits, with `.`/`,`
+    /// separators that are followed by a digit (`3,000`, `2.5`).
+    fn match_number(&mut self, s: usize) -> Option<usize> {
+        let bytes = self.text.as_bytes();
+        if self.class(bytes[s]) & DIGIT == 0 {
+            return None;
+        }
+        let mut i = s;
+        while let Some(&b) = bytes.get(i) {
+            let digit = self.class(b) & DIGIT != 0;
+            let separator = matches!(b, b'.' | b',')
+                && bytes.get(i + 1).is_some_and(|n| n.is_ascii_digit());
+            if !(digit || separator) {
+                break;
+            }
+            self.sentences.byte(b);
+            i += 1;
+        }
+        Some(i)
+    }
+
+    /// End of a word starting at `s`, and whether it is shouting. Words are
+    /// alphabetic and may contain internal apostrophes (`don't`, `don’t`)
+    /// and hyphens (`self-aware`).
+    fn match_word(&mut self, s: usize) -> Option<(usize, bool)> {
+        if !self.alphabetic_at(s) {
+            return None;
+        }
+        let bytes = self.text.as_bytes();
+        let (mut i, mut letters, mut all_upper) = (s, 0usize, true);
+        while let Some(&b) = bytes.get(i) {
+            if b < 0x80 {
+                let class = self.class(b);
+                if class & ALPHA != 0 {
+                    letters += 1;
+                    all_upper &= class & UPPER != 0;
+                    i += 1;
+                } else if (b == b'\'' || b == b'-') && i > s && self.alphabetic_at(i + 1) {
+                    i += 1;
+                } else {
+                    break;
+                }
+            } else {
+                let c = self.char_at(i);
+                let len = c.len_utf8();
+                if c.is_alphabetic() {
+                    letters += 1;
+                    all_upper &= c.is_uppercase();
+                    i += len;
+                } else if c == '’' && i > s && self.alphabetic_at(i + len) {
+                    i += len;
+                } else {
+                    break;
                 }
             }
         }
-        best
-    }
-
-    /// Length of a number starting at the current position.
-    #[allow(clippy::if_same_then_else)] // branches differ in lookahead condition, not effect
-    fn match_number(&self) -> Option<usize> {
-        let rest = self.rest();
-        let first = rest.chars().next()?;
-        if !first.is_ascii_digit() {
-            return None;
-        }
-        let mut end = 0;
-        let mut chars = rest.char_indices().peekable();
-        while let Some((i, c)) = chars.next() {
-            if c.is_ascii_digit() {
-                end = i + 1;
-            } else if (c == '.' || c == ',')
-                && chars.peek().is_some_and(|(_, n)| n.is_ascii_digit())
-            {
-                end = i + 1;
-            } else {
-                break;
-            }
-        }
-        Some(end)
-    }
-
-    /// Length of an alphabetic word starting at the current position.
-    /// Words may contain internal apostrophes (`don't`) and internal hyphens
-    /// (`self-aware`).
-    #[allow(clippy::if_same_then_else)] // branches differ in lookahead condition, not effect
-    fn match_word(&self) -> Option<usize> {
-        let rest = self.rest();
-        let first = rest.chars().next()?;
-        if !first.is_alphabetic() {
-            return None;
-        }
-        let mut end = 0;
-        let mut chars = rest.char_indices().peekable();
-        while let Some((i, c)) = chars.next() {
-            if c.is_alphabetic() {
-                end = i + c.len_utf8();
-            } else if (c == '\'' || c == '’' || c == '-')
-                && i > 0
-                && chars.peek().is_some_and(|(_, n)| n.is_alphabetic())
-            {
-                end = i + c.len_utf8();
-            } else {
-                break;
-            }
-        }
-        Some(end)
+        // Word characters are never sentence terminators.
+        self.sentences.word();
+        Some((i, letters >= 2 && all_upper))
     }
 }
 
@@ -265,47 +476,9 @@ impl<'a> Iterator for Tokenizer<'a> {
     type Item = Token<'a>;
 
     fn next(&mut self) -> Option<Token<'a>> {
-        self.skip_whitespace();
-        if self.pos >= self.text.len() {
-            return None;
-        }
-        let start = self.pos;
-        let (len, kind) = if let Some(len) = self.match_url() {
-            (len, TokenKind::Url)
-        } else if let Some(len) = self.match_sigil('@') {
-            (len, TokenKind::Mention)
-        } else if let Some(len) = self.match_sigil('#') {
-            (len, TokenKind::Hashtag)
-        } else if let Some(len) = self.match_emoticon() {
-            (len, TokenKind::Emoticon)
-        } else if let Some(len) = self.match_number() {
-            (len, TokenKind::Number)
-        } else if let Some(len) = self.match_word() {
-            (len, TokenKind::Word)
-        } else {
-            // Single punctuation/symbol character; emoji count as
-            // emoticons (they carry sentiment, not syntax). `rest` is
-            // non-empty here (pos < len was checked above), so the `?`
-            // never actually fires.
-            let c = self.rest().chars().next()?;
-            let kind = if lexicons::is_emoji_char(c) {
-                TokenKind::Emoticon
-            } else {
-                TokenKind::Punctuation
-            };
-            // Absorb a trailing variation selector (U+FE0F) after emoji.
-            let mut len = c.len_utf8();
-            if kind == TokenKind::Emoticon {
-                if let Some(next) = self.rest()[len..].chars().next() {
-                    if next == '\u{FE0F}' {
-                        len += next.len_utf8();
-                    }
-                }
-            }
-            (len, kind)
-        };
-        self.pos = start + len;
-        Some(Token { text: &self.text[start..start + len], kind, start })
+        let t = self.scan_token()?;
+        let (start, end) = (t.span.start as usize, t.span.end as usize);
+        Some(Token { text: &self.text[start..end], kind: t.span.kind, start })
     }
 }
 
@@ -489,6 +662,44 @@ mod tests {
         // The buffer is cleared per call, so reuse never leaks old tokens.
         tokenize_into("one", &mut spans);
         assert_eq!(spans.len(), 1);
+    }
+
+    #[test]
+    fn scan_tables_group_emoticons_longest_first() {
+        let t = scan_tables();
+        let all = lexicons::POSITIVE_EMOTICONS.len() + lexicons::NEGATIVE_EMOTICONS.len();
+        assert_eq!(t.emoticons.len(), all);
+        for (e, _) in &t.emoticons {
+            assert!(e.is_ascii(), "{e}: the byte-class gate assumes ASCII emoticons");
+            let (lo, hi) = t.by_first[e.as_bytes()[0] as usize];
+            let group = &t.emoticons[lo as usize..hi as usize];
+            assert!(group.iter().any(|(g, _)| g == e));
+            assert!(group.windows(2).all(|w| w[0].0.len() >= w[1].0.len()));
+        }
+    }
+
+    #[test]
+    fn scan_records_shouting_valence_and_sentences() {
+        let text = "WOW :) SO GOOD! t.co/x.y I\n\nA ok 😡";
+        let mut scanner = Tokenizer::new(text);
+        let mut scanned = Vec::new();
+        while let Some(t) = scanner.scan_token() {
+            scanned.push(t);
+        }
+        for t in &scanned {
+            let token = Token { text: t.span.text(text), kind: t.span.kind, start: 0 };
+            assert_eq!(t.shouting, token.kind == TokenKind::Word && token.is_shouting());
+            let valence = if token.kind == TokenKind::Emoticon {
+                lexicons::emoticon_valence(token.text)
+            } else {
+                0
+            };
+            assert_eq!(t.valence, valence, "{:?}", token.text);
+        }
+        let tokens = tokenize(text);
+        assert_eq!(scanner.word_sentences(), crate::count_word_sentences(text, &tokens));
+        // "WOW :) SO GOOD" ! " t" . "co/x" . "y I" \n\n "A ok 😡"
+        assert_eq!(scanner.word_sentences(), 5);
     }
 
     #[test]

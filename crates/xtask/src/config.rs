@@ -325,8 +325,12 @@ const HOT_ROOTS: &[(&str, &[&str])] = &[
     ("crates/nlp/src/tokenizer.rs", &["next"]),
     // Public per-tweet entry points not reached from the roots above (the
     // retired hand list named them; callers outside the workspace exist).
+    // `extract_into` runs the fused `TextScan` pass, so the standalone
+    // tokenizer, scorer and tagger entry points are roots of their own.
     ("crates/features/src/adaptive_bow.rs", &["score", "snapshot_into"]),
-    ("crates/nlp/src/sentiment.rs", &["score_tokens_with"]),
+    ("crates/nlp/src/tokenizer.rs", &["tokenize_into"]),
+    ("crates/nlp/src/sentiment.rs", &["score_tokens_with", "score_spans"]),
+    ("crates/nlp/src/pos.rs", &["count_pos"]),
     // Observability recording: pre-registered metrics, ring-buffer events,
     // span emission (pre-allocated span buffer, pre-registered kinds).
     ("crates/obs/src/metrics.rs", &["inc", "add", "set", "set_max", "record"]),
@@ -418,6 +422,8 @@ const HOT_BOUNDARIES: &[(&str, &str, &str)] = &[
     ("crates/features/src/stats.rs", "merge", "per-batch merge of partition summaries"),
     ("crates/nlp/src/lexicons/mod.rs", "sentiment_map", "OnceLock lazy init; steady state is a cached read"),
     ("crates/nlp/src/lexicons/mod.rs", "booster_map", "OnceLock lazy init; steady state is a cached read"),
+    ("crates/nlp/src/lexicons/mod.rs", "lex_map", "OnceLock lazy init; steady state is a cached read"),
+    ("crates/nlp/src/tokenizer.rs", "scan_tables", "OnceLock lazy init; steady state is a cached read"),
     // --- shard: flush-boundary orchestration ------------------------------
     ("crates/shard/src/runner.rs", "primary_flush", "per-batch flush orchestration (segment copy, chaos hooks); allocation amortized over the micro-batch"),
     // --- obs runtime telemetry: wave-grained bookkeeping ------------------
@@ -645,12 +651,12 @@ mod tests {
     fn overlay_defaults_to_roots_and_widens() {
         let mut c = LintConfig::default();
         assert_eq!(c.hot_functions("crates/features/src/extract.rs"), ["extract_into"]);
-        assert!(c.hot_functions("crates/nlp/src/pos.rs").is_empty());
+        assert!(c.hot_functions("crates/nlp/src/sentence.rs").is_empty());
         c.hot_overlay
-            .entry("crates/nlp/src/pos.rs".to_string())
+            .entry("crates/nlp/src/sentence.rs".to_string())
             .or_default()
-            .push("tag_word".to_string());
-        assert_eq!(c.hot_functions("crates/nlp/src/pos.rs"), ["tag_word"]);
-        assert!(c.applies(Rule::HotPathAlloc, "crates/nlp/src/pos.rs"));
+            .push("count_word_sentences".to_string());
+        assert_eq!(c.hot_functions("crates/nlp/src/sentence.rs"), ["count_word_sentences"]);
+        assert!(c.applies(Rule::HotPathAlloc, "crates/nlp/src/sentence.rs"));
     }
 }

@@ -14,6 +14,13 @@ test -s results/LINT_report.json
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== tests on one core (host shape exercised on purpose) =="
+if command -v taskset > /dev/null 2>&1; then
+    taskset -c 0 cargo test -q --workspace
+else
+    echo "skipped: taskset not found, so the one-core run cannot pin the tests"
+fi
+
 echo "== chaos (seeded fault injection + recovery) =="
 cargo test -q --test chaos_recovery
 

@@ -170,21 +170,20 @@ fn recovered_obs_is_bit_identical_to_fault_free() {
     assert!(retry_us > 0.0, "chaos attribution surfaces retry/backoff time");
 
     // The chaos harness emits the machine-readable OBS report plus the
-    // trace artifacts (critical-path report + Perfetto-loadable JSON).
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    std::fs::create_dir_all(dir).unwrap();
+    // trace artifacts (critical-path report + Perfetto-loadable JSON). They
+    // go to a per-process temp dir: the committed copies under `results/`
+    // have one producer, `perf_smoke`.
+    let dir = std::env::temp_dir().join(format!("redhanded-obs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
     let json = obs_report_json("chaos_harness", ko.registry(), ko.events());
-    std::fs::write(format!("{dir}/OBS_report.json"), &json).unwrap();
+    std::fs::write(dir.join("OBS_report.json"), &json).unwrap();
     assert!(json.contains("\"source\": \"chaos_harness\""));
     assert!(json.contains("pipeline_alerts_raised_total"));
     let trace_json = trace_report_json("chaos_harness", ko.trace(), &analysis);
-    std::fs::write(format!("{dir}/TRACE_report.json"), &trace_json).unwrap();
+    std::fs::write(dir.join("TRACE_report.json"), &trace_json).unwrap();
     assert!(trace_json.contains("\"source\": \"chaos_harness\""));
-    std::fs::write(
-        format!("{dir}/TRACE_perfetto.json"),
-        chrome_trace_json(ko.trace()),
-    )
-    .unwrap();
+    std::fs::write(dir.join("TRACE_perfetto.json"), chrome_trace_json(ko.trace())).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Runtime worker telemetry (PR 10) is invisible to every deterministic

@@ -1,22 +1,26 @@
 //! Golden parity: the scratch-based extraction path must be bit-identical
 //! to the original allocating implementation.
 //!
-//! The scratch/interning refactor rewrote the internals of sentiment
-//! scoring, sentence counting, POS lowercasing, and feature extraction, so
+//! The extraction path has been rewritten twice (scratch buffers and
+//! interning, then the single-scan pass with one lexicon table), so
 //! comparing `extract_into` against today's `extract` alone would not catch
 //! a regression both paths share. This test therefore *transcribes the
-//! seed implementations verbatim* (the pre-refactor `score_tokens`,
-//! `count_word_sentences`, `tag_word`, and `FeatureExtractor::extract`,
-//! expressed through public lexicon/tokenizer APIs) and checks both library
-//! paths against that golden reference over a generated corpus — 3-class
-//! and 2-class labels, preprocessing ON and OFF, with exact `f64` equality.
+//! seed implementations verbatim* — the tokenizer, the preprocessing
+//! filter, `score_tokens`, `count_word_sentences`, `tag_word`, and
+//! `FeatureExtractor::extract`, expressed through the public lexicon
+//! tables — and checks the library against that golden reference: over a
+//! generated corpus (3-class and 2-class labels), over hand-written cases
+//! for every behaviour the single scan must reproduce, and over random
+//! mixed ASCII/Unicode strings; preprocessing ON and OFF, with exact `f64`
+//! equality.
 
 use redhanded_datagen::{generate_abusive, AbusiveConfig};
 use redhanded_features::{
     AdaptiveBow, ExtractScratch, ExtractorConfig, FeatureExtractor, NUM_FEATURES,
 };
 use redhanded_nlp::lexicons;
-use redhanded_nlp::tokenizer::{tokenize, tokenize_into, Token, TokenKind, TokenSpan};
+use proptest::prelude::*;
+use redhanded_nlp::tokenizer::{tokenize, tokenize_into, TokenKind, TokenSpan};
 use redhanded_nlp::PosTag;
 use redhanded_types::{ClassScheme, Tweet};
 
@@ -25,6 +29,200 @@ use redhanded_types::{ClassScheme, Tweet};
 // visibility: private helpers are inlined, lexicon access goes through the
 // unchanged public API).
 // ---------------------------------------------------------------------------
+
+/// A seed token: the library's `Token` shape, owned by this test so the
+/// golden side never runs library tokenizer code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Token<'a> {
+    text: &'a str,
+    kind: TokenKind,
+    start: usize,
+}
+
+impl Token<'_> {
+    fn end(&self) -> usize {
+        self.start + self.text.len()
+    }
+
+    fn is_shouting(&self) -> bool {
+        let alpha_count = self.text.chars().filter(|c| c.is_alphabetic()).count();
+        alpha_count >= 2
+            && self.text.chars().filter(|c| c.is_alphabetic()).all(|c| c.is_uppercase())
+    }
+}
+
+/// The seed tokenizer: a forward scan trying each matcher at every token
+/// start.
+struct SeedTokenizer<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> SeedTokenizer<'a> {
+    fn rest(&self) -> &'a str {
+        &self.text[self.pos..]
+    }
+
+    fn skip_whitespace(&mut self) {
+        let rest = self.rest();
+        let trimmed = rest.trim_start();
+        self.pos += rest.len() - trimmed.len();
+    }
+
+    fn match_url(&self) -> Option<usize> {
+        let rest = self.rest();
+        let bytes = rest.as_bytes();
+        let has_prefix =
+            |p: &[u8]| bytes.len() >= p.len() && bytes[..p.len()].eq_ignore_ascii_case(p);
+        let is_url = has_prefix(b"http://") || has_prefix(b"https://") || has_prefix(b"www.");
+        if !is_url {
+            return None;
+        }
+        let end = rest.find(char::is_whitespace).unwrap_or(rest.len());
+        Some(end)
+    }
+
+    fn match_sigil(&self, sigil: char) -> Option<usize> {
+        let rest = self.rest();
+        let mut chars = rest.char_indices();
+        let (_, first) = chars.next()?;
+        if first != sigil {
+            return None;
+        }
+        let mut end = sigil.len_utf8();
+        for (i, c) in chars {
+            if c.is_alphanumeric() || c == '_' {
+                end = i + c.len_utf8();
+            } else {
+                break;
+            }
+        }
+        (end > sigil.len_utf8()).then_some(end)
+    }
+
+    fn match_emoticon(&self) -> Option<usize> {
+        let rest = self.rest();
+        let mut best = None;
+        for table in [lexicons::POSITIVE_EMOTICONS, lexicons::NEGATIVE_EMOTICONS] {
+            for emo in table {
+                if let Some(after) = rest.strip_prefix(emo) {
+                    let boundary = after
+                        .chars()
+                        .next()
+                        .map_or(true, |c| c.is_whitespace() || !c.is_alphanumeric());
+                    if boundary && best.map_or(true, |b| emo.len() > b) {
+                        best = Some(emo.len());
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    #[allow(clippy::if_same_then_else)]
+    fn match_number(&self) -> Option<usize> {
+        let rest = self.rest();
+        let first = rest.chars().next()?;
+        if !first.is_ascii_digit() {
+            return None;
+        }
+        let mut end = 0;
+        let mut chars = rest.char_indices().peekable();
+        while let Some((i, c)) = chars.next() {
+            if c.is_ascii_digit() {
+                end = i + 1;
+            } else if (c == '.' || c == ',')
+                && chars.peek().is_some_and(|(_, n)| n.is_ascii_digit())
+            {
+                end = i + 1;
+            } else {
+                break;
+            }
+        }
+        Some(end)
+    }
+
+    #[allow(clippy::if_same_then_else)]
+    fn match_word(&self) -> Option<usize> {
+        let rest = self.rest();
+        let first = rest.chars().next()?;
+        if !first.is_alphabetic() {
+            return None;
+        }
+        let mut end = 0;
+        let mut chars = rest.char_indices().peekable();
+        while let Some((i, c)) = chars.next() {
+            if c.is_alphabetic() {
+                end = i + c.len_utf8();
+            } else if (c == '\'' || c == '’' || c == '-')
+                && i > 0
+                && chars.peek().is_some_and(|(_, n)| n.is_alphabetic())
+            {
+                end = i + c.len_utf8();
+            } else {
+                break;
+            }
+        }
+        Some(end)
+    }
+}
+
+impl<'a> Iterator for SeedTokenizer<'a> {
+    type Item = Token<'a>;
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        self.skip_whitespace();
+        if self.pos >= self.text.len() {
+            return None;
+        }
+        let start = self.pos;
+        let (len, kind) = if let Some(len) = self.match_url() {
+            (len, TokenKind::Url)
+        } else if let Some(len) = self.match_sigil('@') {
+            (len, TokenKind::Mention)
+        } else if let Some(len) = self.match_sigil('#') {
+            (len, TokenKind::Hashtag)
+        } else if let Some(len) = self.match_emoticon() {
+            (len, TokenKind::Emoticon)
+        } else if let Some(len) = self.match_number() {
+            (len, TokenKind::Number)
+        } else if let Some(len) = self.match_word() {
+            (len, TokenKind::Word)
+        } else {
+            let c = self.rest().chars().next()?;
+            let kind = if lexicons::is_emoji_char(c) {
+                TokenKind::Emoticon
+            } else {
+                TokenKind::Punctuation
+            };
+            let mut len = c.len_utf8();
+            if kind == TokenKind::Emoticon {
+                if let Some(next) = self.rest()[len..].chars().next() {
+                    if next == '\u{FE0F}' {
+                        len += next.len_utf8();
+                    }
+                }
+            }
+            (len, kind)
+        };
+        self.pos = start + len;
+        Some(Token { text: &self.text[start..start + len], kind, start })
+    }
+}
+
+/// The seed `tokenize`.
+fn seed_tokenize(text: &str) -> Vec<Token<'_>> {
+    SeedTokenizer { text, pos: 0 }.collect()
+}
+
+/// The seed preprocessing filter (`preprocess::keep_token`).
+fn seed_keep(token: &Token<'_>) -> bool {
+    const TWEET_ABBREVIATIONS: &[&str] = &["rt", "mt", "ht", "cc", "dm", "prt", "via"];
+    token.kind == TokenKind::Word
+        && !TWEET_ABBREVIATIONS.iter().any(|a| token.text.eq_ignore_ascii_case(a))
+        && !lexicons::positive_emoticon_set().contains(token.text)
+        && !lexicons::negative_emoticon_set().contains(token.text)
+}
 
 fn seed_squeeze_repeats(word: &str) -> (String, bool) {
     let mut out = String::with_capacity(word.len());
@@ -250,7 +448,7 @@ fn seed_tag_word(word: &str) -> PosTag {
 
 /// The seed `FeatureExtractor::extract`: feature vector + lowercased words.
 fn seed_extract(tweet: &Tweet, bow: &AdaptiveBow, preprocess: bool) -> (Vec<f64>, Vec<String>) {
-    let tokens = tokenize(&tweet.text);
+    let tokens = seed_tokenize(&tweet.text);
     let mut num_hashtags = 0usize;
     let mut num_urls = 0usize;
     let mut num_upper = 0usize;
@@ -264,10 +462,7 @@ fn seed_extract(tweet: &Tweet, bow: &AdaptiveBow, preprocess: bool) -> (Vec<f64>
     }
     let (sent_pos, sent_neg) = seed_score_tokens(&tokens);
     let words: Vec<String> = if preprocess {
-        redhanded_features::preprocess::preprocess_tokens(&tokens)
-            .into_iter()
-            .map(|t| t.text.to_lowercase())
-            .collect()
+        tokens.iter().filter(|t| seed_keep(t)).map(|t| t.text.to_lowercase()).collect()
     } else {
         tokens
             .iter()
@@ -333,6 +528,59 @@ fn grown_bow() -> AdaptiveBow {
     bow
 }
 
+/// Both library extraction paths against the seed, on one tweet.
+fn assert_matches_seed(
+    extractor: &FeatureExtractor,
+    scratch: &mut ExtractScratch,
+    tweet: &Tweet,
+    bow: &AdaptiveBow,
+) {
+    let preprocess = extractor.preprocessing_enabled();
+    let (golden_features, golden_words) = seed_extract(tweet, bow, preprocess);
+    assert_eq!(golden_features.len(), NUM_FEATURES);
+
+    // Allocating path (itself a wrapper over the scratch path).
+    let ext = extractor.extract(tweet, bow);
+    assert_eq!(
+        ext.features, golden_features,
+        "extract() diverged from seed (preprocess={preprocess}): {:?}",
+        tweet.text
+    );
+    assert_eq!(ext.words, golden_words, "word sequence diverged: {:?}", tweet.text);
+
+    // Scratch path, with the buffers reused across every call.
+    extractor.extract_into(tweet, bow, scratch);
+    assert_eq!(
+        scratch.features(),
+        golden_features.as_slice(),
+        "extract_into() diverged from seed (preprocess={preprocess}): {:?}",
+        tweet.text
+    );
+    let words: Vec<&str> = scratch.words().collect();
+    assert_eq!(words, golden_words, "scratch words diverged: {:?}", tweet.text);
+}
+
+/// The library tokenizer (both forms) against the seed tokenizer.
+fn assert_tokens_match_seed(text: &str, spans: &mut Vec<TokenSpan>) {
+    let golden = seed_tokenize(text);
+    let tokens = tokenize(text);
+    tokenize_into(text, spans);
+    assert_eq!(tokens.len(), golden.len(), "token count diverged from seed: {text:?}");
+    assert_eq!(spans.len(), golden.len(), "span count diverged from seed: {text:?}");
+    for ((tok, span), seed) in tokens.iter().zip(spans.iter()).zip(&golden) {
+        assert_eq!((tok.text, tok.kind, tok.start), (seed.text, seed.kind, seed.start), "{text:?}");
+        assert_eq!(tok.is_shouting(), seed.is_shouting(), "{text:?}");
+        assert_eq!((span.text(text), span.kind), (seed.text, seed.kind), "{text:?}");
+        assert_eq!((span.start as usize, span.end as usize), (seed.start, seed.end()), "{text:?}");
+    }
+}
+
+fn tweet_with_text(text: &str) -> Tweet {
+    let mut t = generate_abusive(&AbusiveConfig::small(1, 7)).remove(0).tweet;
+    t.text = text.to_string();
+    t
+}
+
 #[test]
 fn extract_matches_seed_implementation_over_corpus() {
     let corpus = generate_abusive(&AbusiveConfig::small(1000, 0x90_1D));
@@ -341,28 +589,7 @@ fn extract_matches_seed_implementation_over_corpus() {
         let extractor = FeatureExtractor::new(ExtractorConfig { preprocess });
         let mut scratch = ExtractScratch::new();
         for lt in &corpus {
-            let (golden_features, golden_words) = seed_extract(&lt.tweet, &bow, preprocess);
-            assert_eq!(golden_features.len(), NUM_FEATURES);
-
-            // Allocating path (itself a wrapper over the scratch path).
-            let ext = extractor.extract(&lt.tweet, &bow);
-            assert_eq!(
-                ext.features, golden_features,
-                "extract() diverged from seed (preprocess={preprocess}): {:?}",
-                lt.tweet.text
-            );
-            assert_eq!(ext.words, golden_words, "word sequence diverged: {:?}", lt.tweet.text);
-
-            // Scratch path with buffer reuse across the whole corpus.
-            extractor.extract_into(&lt.tweet, &bow, &mut scratch);
-            assert_eq!(
-                scratch.features(),
-                golden_features.as_slice(),
-                "extract_into() diverged from seed (preprocess={preprocess}): {:?}",
-                lt.tweet.text
-            );
-            let words: Vec<&str> = scratch.words().collect();
-            assert_eq!(words, golden_words, "scratch words diverged: {:?}", lt.tweet.text);
+            assert_matches_seed(&extractor, &mut scratch, &lt.tweet, &bow);
         }
     }
 }
@@ -372,16 +599,116 @@ fn token_spans_mirror_owned_tokens_over_corpus() {
     let corpus = generate_abusive(&AbusiveConfig::small(1000, 0xC0FFE));
     let mut spans: Vec<TokenSpan> = Vec::new();
     for lt in &corpus {
-        let text = lt.tweet.text.as_str();
-        let tokens = tokenize(text);
-        tokenize_into(text, &mut spans);
-        assert_eq!(spans.len(), tokens.len(), "token count mismatch: {text:?}");
-        for (span, tok) in spans.iter().zip(&tokens) {
-            assert_eq!(span.text(text), tok.text);
-            assert_eq!(span.kind, tok.kind);
-            assert_eq!(span.start as usize, tok.start);
+        assert_tokens_match_seed(&lt.tweet.text, &mut spans);
+    }
+}
+
+/// Behaviours the single scan must reproduce exactly, one group per line.
+const TRAPS: &[&str] = &[
+    // Emoticon filter: case-sensitive on the raw spelling (`Xd` survives).
+    "xd xD XD Xd xD5 XD5 Xd5 xd5 lolxD xDxD",
+    // Abbreviations: ASCII case-insensitive; non-ASCII look-alikes stay.
+    "RT rt Rt rT MT via VIA Via prt PRT cc DM vİa \u{212A} rt5 RT!",
+    // Terminators anywhere in the raw text, URLs and numbers included.
+    "see t.co/abc http://t.co/a.b?c=d! 2.5 hours... wow!? ok\nnext line",
+    "http://x.co/a.b.c! #tag. @user? 3.14.15 1,000,000. 42. .5 5.",
+    "one.two three!four five?six\n\nseven",
+    // Booster only immediately before; negator among two tokens of any kind.
+    "RT very good! not a good idea, NOT BAD!!! soooo goooood baaaad",
+    "very, good. very good. not , good. not @user good. not :) good. not not good",
+    "so so bad really bad slightly awful kinda nice hardly terrible",
+    "dont hate isnt great won't love don’t love",
+    // Preprocessing drops RT, but the scorer still sees it as a word.
+    "RT good RT bad rt very nice",
+    // Unicode: alphabetic, final sigma, ligatures, uppercase shouting.
+    "ΟΔΟΣ ΚΑΛΑ Σ ﬁne İstanbul ŞOK ΆΣΧΗΜΟΣ café NAÏVE Ǆemal ǅ",
+    "Καλά VERY bad day ＡＢＣ ｄｅｆ ١٢٣ x² Ⅻ ª",
+    // Emoji and the variation selector.
+    "nice 😀 ❤\u{FE0F} ❤ 😡\u{FE0F}\u{FE0F} 💔 ok ☺\u{FE0F}good \u{FE0F}",
+    // Joiners.
+    "don't don’t self-aware dogs' ’tis -x x- ’ a--b a''b a-’b",
+    // Sigils.
+    "@ # @_ #_ @é #日本 @@user ##tag @user_1! #a-b email@host.com",
+    // Emoticon boundaries and longest match.
+    ":pizza :p :-) :-)) >:( D: Dx D:x T_T T_Tx <3 <33 :'( :c :C :cc ^_^ =D=D",
+    // URL prefixes in any case.
+    "WWW.SITE.COM HTTPS://X.Y http:/no www wwwx www. Http://a\u{A0}b",
+    // Unicode whitespace separates tokens.
+    "\u{A0}word\u{2028}word\u{3000}WORD\u{85}x\u{1680}y",
+    "",
+    "   \t\n ",
+    "...",
+    "!!!",
+    "a",
+];
+
+#[test]
+fn traps_match_seed_implementation() {
+    let bow = grown_bow();
+    let mut spans = Vec::new();
+    for preprocess in [true, false] {
+        let extractor = FeatureExtractor::new(ExtractorConfig { preprocess });
+        let mut scratch = ExtractScratch::new();
+        for text in TRAPS {
+            assert_tokens_match_seed(text, &mut spans);
+            assert_matches_seed(&extractor, &mut scratch, &tweet_with_text(text), &bow);
         }
     }
+}
+
+/// Fragments that reach the scan's special cases far more often than
+/// uniformly random characters would.
+const FRAGMENTS: &[&str] = &[
+    "good", "GOOD", "Good", "bad", "BAD", "not", "NOT", "very", "so", "slightly", "never",
+    "hate", "love", "looooove", "baaad", "xd", "xD", "XD", "Xd", "RT", "rt", "via", "vİa",
+    "the", "well", "quickly", "running", "courageous", "asshole", "zorgon", "don't", "don’t",
+    "self-aware", "http://t.co/a.b", "www.x.co", "2.5", "3,000", "42", ":)", ":-(", "D:",
+    "<3", ":p", "T_T", "😀", "❤\u{FE0F}", "😡", "💔", "café", "ΟΔΟΣ", "Σ", "ﬁ", "İ",
+    "\u{212A}", "日本", "!", "?", ".", "...", "'", "’", "-", "@", "#", "@user", "#Tag", "_",
+    ",", "\u{FE0F}",
+];
+
+const SEPARATORS: &[&str] = &["", "", " ", " ", " ", "  ", "\n", "\t", "\u{A0}", "\u{3000}"];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Random mixes of lexicon words, token-kind fragments, Unicode and
+    /// separators (including none, so fragments fuse into new tokens).
+    #[test]
+    fn random_fragment_mixes_match_seed(
+        parts in prop::collection::vec(
+            (prop::sample::select(FRAGMENTS.to_vec()), prop::sample::select(SEPARATORS.to_vec())),
+            0..24,
+        ),
+    ) {
+        let text: String = parts.iter().flat_map(|(f, sep)| [*f, *sep]).collect();
+        let bow = grown_bow_cached();
+        let mut spans = Vec::new();
+        assert_tokens_match_seed(&text, &mut spans);
+        for preprocess in [true, false] {
+            let extractor = FeatureExtractor::new(ExtractorConfig { preprocess });
+            assert_matches_seed(&extractor, &mut ExtractScratch::new(), &tweet_with_text(&text), bow);
+        }
+    }
+
+    /// Random printable ASCII/Unicode strings.
+    #[test]
+    fn random_unicode_strings_match_seed(text in "\\PC{0,120}") {
+        let bow = grown_bow_cached();
+        let mut spans = Vec::new();
+        assert_tokens_match_seed(&text, &mut spans);
+        for preprocess in [true, false] {
+            let extractor = FeatureExtractor::new(ExtractorConfig { preprocess });
+            assert_matches_seed(&extractor, &mut ExtractScratch::new(), &tweet_with_text(&text), bow);
+        }
+    }
+}
+
+/// [`grown_bow`], built once for the property tests' many cases.
+fn grown_bow_cached() -> &'static AdaptiveBow {
+    static BOW: std::sync::OnceLock<AdaptiveBow> = std::sync::OnceLock::new();
+    BOW.get_or_init(grown_bow)
 }
 
 #[test]
